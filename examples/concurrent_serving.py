@@ -47,6 +47,9 @@ def main() -> None:
         ]
 
         print("\n== Concurrent serving (2 workers, micro-batched) ==")
+        # A 10 ms linger keeps the first window open until the whole
+        # burst below has arrived, so it rides one kernel batch; under
+        # sustained load batches form without it, while workers are busy.
         with session.serve(workers=2, max_wait_ms=10.0) as service:
             print(f"  worker pids: {service.worker_pids()}")
             # Submit the whole burst up front; the batcher coalesces it.

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 
 from ..core.annotation import AnnotationMethod
 from ..core.corpus import GitTablesCorpus
-from ..dataframe.table import Column
 from ..github.values import ValuePools
 from ..storage.artifacts import IndexArtifactStore, corpus_content_fingerprint, try_publish
 

@@ -209,9 +209,9 @@ class ServingConfig:
     """Settings for the concurrent query service (:meth:`GitTables.serve`).
 
     The service fronts one loaded session with a micro-batcher (requests
-    arriving within one window are coalesced into the existing batch
-    kernels) and, with ``workers > 0``, a pool of worker processes that
-    each mmap the store's persisted index artifacts.
+    that arrive while every worker is busy are coalesced into the
+    existing batch kernels) and, with ``workers > 0``, a pool of worker
+    processes that each mmap the store's persisted index artifacts.
     """
 
     #: Worker processes serving batches. 0 runs batches in-process (no
@@ -220,9 +220,11 @@ class ServingConfig:
     workers: int = 2
     #: Most requests one dispatched batch may carry.
     max_batch: int = 64
-    #: How long the batcher holds a window open for more requests after
-    #: the first arrives (milliseconds; 0 = dispatch whatever is queued).
-    max_wait_ms: float = 2.0
+    #: Optional linger (milliseconds): how long after its first request
+    #: was admitted a window stays open for more. 0 = dispatch whatever
+    #: is queued as soon as a worker is free; batches still form while
+    #: every worker is busy.
+    max_wait_ms: float = 0.0
     #: Admission limit: requests in flight (admitted, unresolved) beyond
     #: this are rejected with :class:`~repro.errors.ServiceOverloaded`.
     max_queue: int = 1024

@@ -2,12 +2,18 @@
 
 Concurrent callers pay per-request Python and dispatch overhead; the
 corpus-side kernels (``search_batch``, ``embed_many``, ``query_batch``)
-amortize almost all of it across a batch. The batcher closes that gap:
-the first queued request opens a *window* that stays open for at most
-``max_wait_ms`` (or until ``max_batch`` requests arrived), then the
-window is split into **compatibility groups** — requests whose payloads
-can ride in one kernel call, e.g. searches sharing ``k`` — and each
-group is handed to the dispatch callable as one batch.
+amortize almost all of it across a batch. The batcher closes that gap
+without a timer: batching is **work-conserving**. A window is dispatched
+as soon as the executor has capacity (one in-flight batch per live
+worker); while every worker is busy, requests wait in the queue, and
+when one frees up everything queued (up to ``max_batch``) goes out as
+one window. So batches form exactly when there is load, and no request
+waits on an idle pool. ``max_wait_ms`` is an optional linger on top,
+counted from the window's first request, so a request that was already
+held for capacity never lingers again. Each window is split into
+**compatibility groups** — requests whose payloads can ride in one
+kernel call, e.g. searches sharing ``k`` — and each group is handed to
+the dispatch callable as one batch.
 
 Batching never changes results: every kernel on the dispatch path is
 bit-identical between batched and single-shot execution (a property the
@@ -59,13 +65,21 @@ class MicroBatcher:
 
     ``dispatch`` receives a non-empty list of requests sharing one
     compatibility key; it must resolve (or arrange resolution of) every
-    future it is handed, even on failure. The batcher thread never
-    blocks on results — dispatch is expected to either hand the batch to
-    a worker pool asynchronously or execute it inline.
+    future it is handed. Should it raise instead, the group's requests
+    are failed through ``resolve`` (``resolve(request, error=...)``, the
+    service's once-only resolution callback). ``wait_for_capacity``
+    blocks the window loop until the executor can take another batch.
+    The batcher thread never blocks on results — dispatch is expected
+    to either hand the batch to a worker pool asynchronously or execute
+    it inline.
     """
 
-    def __init__(self, dispatch, max_batch: int, max_wait_ms: float) -> None:
+    def __init__(
+        self, dispatch, resolve, wait_for_capacity, max_batch: int, max_wait_ms: float
+    ) -> None:
         self._dispatch = dispatch
+        self._resolve = resolve
+        self._wait_for_capacity = wait_for_capacity
         self._max_batch = max_batch
         self._max_wait_s = max_wait_ms / 1000.0
         self._queue: queue.SimpleQueue = queue.SimpleQueue()
@@ -80,7 +94,11 @@ class MicroBatcher:
         self._queue.put(request)
 
     def stop(self) -> None:
-        """Dispatch everything already queued, then stop the window loop."""
+        """Dispatch everything already queued, then stop the window loop.
+
+        A window held for capacity must be released first (the
+        executor's ``release_waiters``), or this waits for a worker.
+        """
         if self._closed:
             return
         self._closed = True
@@ -95,10 +113,13 @@ class MicroBatcher:
             first = self._queue.get()
             if first is _CLOSE:
                 break
+            # Requests arriving while every worker is busy queue up
+            # behind ``first`` and join its window once capacity frees.
+            self._wait_for_capacity()
             window = [first]
-            window_closes = time.monotonic() + self._max_wait_s
+            linger_until = first.submitted_at + self._max_wait_s
             while len(window) < self._max_batch:
-                remaining = window_closes - time.monotonic()
+                remaining = linger_until - time.monotonic()
                 try:
                     nxt = self._queue.get(timeout=max(0.0, remaining))
                 except queue.Empty:
@@ -133,7 +154,8 @@ class MicroBatcher:
         for group in groups.values():
             try:
                 self._dispatch(group)
-            except Exception as error:  # pragma: no cover - defensive
+            except Exception as error:
+                # Through the service's resolver, so the admission slot
+                # is released and the failure is counted.
                 for request in group:
-                    if not request.future.done():
-                        request.future.set_exception(error)
+                    self._resolve(request, error=error)

@@ -3,8 +3,8 @@
 ::
 
     dispatcher (submit/admission)
-        └─> micro-batcher (window: max_batch / max_wait_ms)
-              └─> worker pool (least-loaded routing, respawn)
+        └─> micro-batcher (dispatches when a worker is free; batches while all are busy)
+              └─> worker pool (capacity gate, least-loaded routing, respawn)
                     └─> N processes, each mmap'ing the store's artifacts
 
 :class:`QueryService` is what :meth:`GitTables.serve` returns. Callers
@@ -15,9 +15,12 @@ and results are delivered through per-request futures — bit-identical
 to the same single-shot call on a lone session, because every kernel on
 the batched path guarantees batch-size independence.
 
-The blocking conveniences (:meth:`search`, :meth:`complete_schema`,
-:meth:`detect_types`) are submit-plus-wait; concurrent callers get
-coalesced into shared kernel batches automatically.
+Batching is work-conserving: a lone request on an idle pool is
+dispatched at once, and requests that arrive while every worker is busy
+are held and coalesced into the next window. The blocking conveniences
+(:meth:`search`, :meth:`complete_schema`, :meth:`detect_types`) are
+submit-plus-wait; concurrent callers get coalesced into shared kernel
+batches automatically.
 """
 
 from __future__ import annotations
@@ -84,6 +87,8 @@ class QueryService:
             )
         self._batcher = MicroBatcher(
             dispatch=self._dispatch,
+            resolve=self._resolve,
+            wait_for_capacity=self._executor.wait_for_capacity,
             max_batch=self.config.max_batch,
             max_wait_ms=self.config.max_wait_ms,
         )
@@ -239,6 +244,9 @@ class QueryService:
             if self._closed:
                 return
             self._closed = True
+        # The close drain dispatches everything admitted at once; only
+        # drain_timeout_s bounds how long it may then take to resolve.
+        self._executor.release_waiters()
         self._batcher.stop()
         self._executor.drain(timeout=self.config.drain_timeout_s)
         self._executor.close()

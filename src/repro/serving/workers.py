@@ -9,18 +9,21 @@ a task is just ``(batch id, endpoint, compatibility key, payloads)``
 and a result is the pickled list of per-request results.
 
 The parent-side :class:`WorkerPool` routes each batch to the
-least-loaded live worker, watches for crashed workers (a worker that
-died mid-batch is detected on the collector's next idle tick), respawns
-them within the configured budget, and re-dispatches a dead worker's
-in-flight batches exactly once — a batch orphaned twice fails with
-:class:`~repro.errors.WorkerCrashed`. Request futures are resolved by
-one collector thread; a result that lands after its request's deadline
-resolves to :class:`~repro.errors.DeadlineExceeded` instead.
+least-loaded live worker and gates the micro-batcher on capacity — one
+in-flight batch per live worker, so requests wait (and coalesce) in the
+batcher while every worker is busy. It watches for crashed workers (a
+worker that died mid-batch is detected on the collector's next idle
+tick), respawns them within the configured budget, and re-dispatches a
+dead worker's in-flight batches exactly once — a batch orphaned twice
+fails with :class:`~repro.errors.WorkerCrashed`. Request futures are
+resolved by one collector thread; a result that lands after its
+request's deadline resolves to :class:`~repro.errors.DeadlineExceeded`
+instead.
 
 :class:`LocalExecutor` is the degenerate pool for ``workers=0`` (and
 for sessions without a store directory): batches execute inline on the
-batcher thread against the parent's own session — still micro-batched,
-no processes involved.
+batcher thread against the parent's own session — still micro-batched
+(requests queue while a batch runs), no processes involved.
 """
 
 from __future__ import annotations
@@ -177,6 +180,12 @@ class LocalExecutor:
         for request, result in zip(requests, results):
             self._resolve(request, result=result)
 
+    def wait_for_capacity(self) -> None:
+        """Never blocks: dispatch runs inline on the batcher thread."""
+
+    def release_waiters(self) -> None:
+        pass
+
     def drain(self, timeout: float) -> bool:
         return True  # dispatch is synchronous; nothing is ever in flight
 
@@ -244,6 +253,11 @@ class WorkerPool:
         self._mp = mp_context if mp_context is not None else build_mp_context()
         self._result_queue = self._mp.Queue()
         self._lock = threading.Lock()
+        #: Signalled (under ``_lock``) whenever a batch leaves
+        #: ``_batches`` or the set of live workers changes: the
+        #: batcher's capacity wait and ``drain`` both sleep on it.
+        self._capacity = threading.Condition(self._lock)
+        self._released = False
         self._batches: dict[int, _Batch] = {}
         self._next_batch_id = 0
         self._respawns_used = 0
@@ -312,20 +326,41 @@ class WorkerPool:
 
     def worker_info(self) -> dict:
         with self._lock:
-            return {
-                "configured": len(self._workers),
-                "alive": sum(
-                    1
-                    for handle in self._workers
-                    if not handle.dead and handle.process is not None
-                ),
-            }
+            return {"configured": len(self._workers), "alive": len(self._live_locked())}
 
     # -- dispatch ----------------------------------------------------------
 
+    def wait_for_capacity(self) -> None:
+        """Block until a live worker could take a batch without queueing.
+
+        Capacity is one in-flight batch per live worker. With no live
+        worker the wait lasts only while a respawn is still possible; a
+        pool that can never serve again returns at once, so the next
+        dispatch fails fast instead of holding requests forever.
+        """
+        with self._capacity:
+            self._capacity.wait_for(self._has_capacity_locked)
+
+    def _has_capacity_locked(self) -> bool:
+        if self._released:
+            return True
+        live = len(self._live_locked())
+        if live:
+            return len(self._batches) < live
+        return self._closed or self._respawns_used >= self._max_respawns
+
+    def release_waiters(self) -> None:
+        """End every capacity wait, now and later: the service is closing.
+
+        The batcher's close drain dispatches every admitted request at
+        once; ``drain`` then bounds how long they may take.
+        """
+        with self._capacity:
+            self._released = True
+            self._capacity.notify_all()
+
     def dispatch(self, requests: list[Request]) -> None:
         """Route one compatibility group to the least-loaded live worker."""
-        first = requests[0]
         with self._lock:
             target = self._least_loaded_locked()
             if target is None:
@@ -368,6 +403,7 @@ class WorkerPool:
             owned = self._batches.pop(batch.batch_id, None) is not None
             if owned:
                 target.load -= len(batch.requests)
+                self._capacity.notify_all()
         if not owned:
             # Crash handling already claimed this batch (and will
             # re-dispatch or fail it); a second owner would double-resolve.
@@ -383,8 +419,11 @@ class WorkerPool:
         batch.retried = True
         self._redispatch(batch, exclude=target.index)
 
+    def _live_locked(self) -> list[_WorkerHandle]:
+        return [h for h in self._workers if not h.dead and h.process is not None]
+
     def _least_loaded_locked(self, exclude: int | None = None):
-        live = [h for h in self._workers if not h.dead and h.process is not None]
+        live = self._live_locked()
         if exclude is not None and len(live) > 1:
             live = [h for h in live if h.index != exclude]
         if not live:
@@ -428,6 +467,11 @@ class WorkerPool:
                 error = ServingError(f"serving worker {worker} failed a batch:\n{body}")
                 for request in batch.requests:
                     self._resolve(request, error=error)
+            # Signalled after the answers are delivered: the next window
+            # forms from what queued meanwhile, and the batcher does not
+            # compete with the callers this batch just released.
+            with self._capacity:
+                self._capacity.notify_all()
 
     def _check_liveness(self) -> None:
         """Respawn crashed workers and re-dispatch their orphaned batches."""
@@ -450,7 +494,8 @@ class WorkerPool:
             for batch in orphaned:
                 del self._batches[batch.batch_id]
             handle.load = 0
-            respawn = not self._closed and self._respawns_used < self._max_respawns
+            closing = self._closed
+            respawn = not closing and self._respawns_used < self._max_respawns
             if respawn:
                 self._respawns_used += 1
         if respawn:
@@ -465,17 +510,27 @@ class WorkerPool:
             self._on_crash(respawned=respawn)
         failures, retries = [], []
         for batch in orphaned:
-            (failures if batch.retried else retries).append(batch)
+            # A worker lost during close() is being shut down; nothing
+            # would run a re-dispatched batch, so it fails as closed.
+            (failures if batch.retried or closing else retries).append(batch)
         for batch in retries:
             # One retry per batch: requests are read-only queries, so
             # re-running them is safe; a second orphaning means the
             # requests themselves are implicated, so they fail instead.
             batch.retried = True
             self._redispatch(batch)
-        for batch in failures:
+        # Signalled only once the replacement is live and the retries
+        # are back in flight: a capacity wait woken in between could see
+        # no live worker and a spent budget, and dispatch into a failure.
+        with self._capacity:
+            self._capacity.notify_all()
+        if closing:
+            error = ServiceClosed("service closed before the batch resolved")
+        else:
             error = WorkerCrashed(
                 f"serving worker {handle.index} died twice while running this request"
             )
+        for batch in failures:
             for request in batch.requests:
                 self._resolve(request, error=error)
 
@@ -497,14 +552,8 @@ class WorkerPool:
 
     def drain(self, timeout: float) -> bool:
         """Wait until no batch is in flight; False if ``timeout`` elapsed."""
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            with self._lock:
-                if not self._batches:
-                    return True
-            time.sleep(0.02)
-        with self._lock:
-            return not self._batches
+        with self._capacity:
+            return self._capacity.wait_for(lambda: not self._batches, timeout)
 
     def close(self) -> None:
         """Stop every worker and the collector; fail anything still in flight."""

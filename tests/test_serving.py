@@ -15,8 +15,12 @@ worker path over a real saved store.
 from __future__ import annotations
 
 import concurrent.futures
+import itertools
 import os
+import queue
 import signal
+import sys
+import threading
 import time
 
 import pytest
@@ -28,7 +32,9 @@ from repro.errors import (
     ServiceClosed,
     ServiceOverloaded,
     ServingError,
+    WorkerCrashed,
 )
+from repro.serving.service import QueryService
 
 DETECT_OPTIONS = {"columns_per_type": 8, "epochs": 2, "n_splits": 2}
 
@@ -151,6 +157,30 @@ class TestInProcessService:
         snapshot = service.metrics()
         assert snapshot["endpoints"]["search"]["rejected"] == 1
 
+    def test_failed_dispatch_releases_its_admission_slot(self, monkeypatch):
+        session = GitTables.from_corpus(GitTablesCorpus())
+        with session.serve(workers=0, max_queue=1) as service:
+            dispatch = service._executor.dispatch
+            calls = []
+
+            def fails_once(requests):
+                calls.append(len(requests))
+                if len(calls) == 1:
+                    raise RuntimeError("injected dispatch failure")
+                dispatch(requests)
+
+            monkeypatch.setattr(service._executor, "dispatch", fails_once)
+            with pytest.raises(RuntimeError, match="injected"):
+                service.submit_search("first", k=2).result(timeout=60)
+            # The failed request gave its slot back: with max_queue=1 the
+            # next submit is admitted instead of raising ServiceOverloaded.
+            assert service.submit_search("second", k=2).result(timeout=60) == []
+            stats = service.metrics()["endpoints"]["search"]
+        assert calls == [1, 1]
+        assert stats["failed"] == 1
+        assert stats["completed"] == 1
+        assert stats["rejected"] == 0
+
     def test_closed_service_rejects_submissions(self, gittables_corpus):
         session = GitTables.from_corpus(gittables_corpus)
         service = session.serve(workers=0)
@@ -241,11 +271,182 @@ class TestWorkerPoolService:
             assert snapshot["workers"]["crashes"] >= 1
             assert snapshot["workers"]["respawns"] >= 1
             assert snapshot["workers"]["alive"] == 1
+            # Crash handling released the capacity the dead worker held:
+            # the batcher is not stuck, and the respawned pool serves.
+            assert service.search("after the respawn", k=3) == store_session.search(
+                "after the respawn", k=3
+            )
 
     def test_blocking_wait_converts_timeout(self, store_session):
         with store_session.serve(workers=0, max_wait_ms=0.0) as service:
             with pytest.raises(DeadlineExceeded):
                 service.detect_types(timeout=1e-6, **DETECT_OPTIONS)
+
+
+class _GatedWorkers:
+    """A stand-in multiprocessing context for :class:`WorkerPool`.
+
+    Each "process" is a thread that acks ready, records the payloads of
+    every task it takes, and answers (``answer:<payload>``) only once
+    ``gate`` is set — so a test decides exactly when a worker's capacity
+    frees. ``terminate`` (or the pool's shutdown sentinel) makes a
+    worker drop its task and exit, like a killed process.
+    """
+
+    def __init__(self) -> None:
+        self.gate = threading.Event()
+        #: Payload lists in the order workers took them.
+        self.tasks: list[list] = []
+        #: Released once per task taken.
+        self.taken = threading.Semaphore(0)
+        self.processes: list = []
+        self._pids = itertools.count(1_000_000)
+
+    class Queue(queue.Queue):
+        def __init__(self) -> None:
+            super().__init__()
+            self.shut = threading.Event()
+
+        def put_nowait(self, item) -> None:
+            if item is None:
+                self.shut.set()
+            super().put_nowait(item)
+
+        def cancel_join_thread(self) -> None:
+            pass
+
+    def Process(self, target, args, daemon, name):
+        process = _GatedWorkers._Process(self, args, next(self._pids))
+        self.processes.append(process)
+        return process
+
+    class _Process:
+        def __init__(self, context, args, pid) -> None:
+            self.context = context
+            self.pid = pid
+            _, self.index, _, self.tasks, self.results, _ = args
+            self.killed = threading.Event()
+            self._thread = threading.Thread(target=self._serve, daemon=True)
+
+        def start(self) -> None:
+            self._thread.start()
+
+        def is_alive(self) -> bool:
+            return self._thread.is_alive()
+
+        def join(self, timeout=None) -> None:
+            self._thread.join(timeout)
+
+        def terminate(self) -> None:
+            self.killed.set()
+
+        def _serve(self) -> None:
+            self.results.put(("ready", self.index, self.pid))
+            while True:
+                task = self.tasks.get()
+                if task is None:
+                    return
+                _, batch_id, _, _, payloads = task
+                self.context.tasks.append(payloads)
+                self.context.taken.release()
+                while not self.context.gate.wait(0.01):
+                    if self.killed.is_set() or self.tasks.shut.is_set():
+                        return
+                answers = [f"answer:{payload}" for payload in payloads]
+                self.results.put(("ok", self.index, batch_id, answers, None, None))
+
+
+class TestWorkConservingBatching:
+    """Windows open when a worker is free, and hold while all are busy.
+
+    Runs the real service, batcher and pool over :class:`_GatedWorkers`:
+    no clock decides any outcome, only when the test opens the gate.
+    """
+
+    @staticmethod
+    def _serve(context: _GatedWorkers, **overrides) -> QueryService:
+        config = ServingConfig(workers=1).replace(**overrides)
+        return QueryService(None, config, directory="gated-store", mp_context=context)
+
+    def test_lone_request_on_an_idle_pool_is_dispatched_alone(self):
+        assert ServingConfig().max_wait_ms == 0.0
+        workers = _GatedWorkers()
+        with self._serve(workers) as service:
+            future = service.submit_search("alone", k=3)
+            # Reaches the worker with nothing else submitted: no window
+            # waited for company.
+            assert workers.taken.acquire(timeout=60)
+            workers.gate.set()
+            assert future.result(timeout=60) == "answer:alone"
+            stats = service.metrics()["endpoints"]["search"]
+        assert workers.tasks == [["alone"]]
+        assert stats["batch_size_histogram"] == {"1": 1}
+
+    def test_requests_held_while_busy_coalesce_into_one_window(self):
+        workers = _GatedWorkers()
+        with self._serve(workers) as service:
+            busy = service.submit_search("q0", k=3)
+            assert workers.taken.acquire(timeout=60)  # the only worker is busy
+            held = [service.submit_search(f"q{index}", k=3) for index in range(1, 6)]
+            workers.gate.set()
+            results = [future.result(timeout=60) for future in [busy, *held]]
+        assert results == [f"answer:q{index}" for index in range(6)]
+        assert [len(payloads) for payloads in workers.tasks] == [1, 5]
+
+    def test_crash_handling_releases_held_capacity(self):
+        workers = _GatedWorkers()
+        with self._serve(workers, max_respawns=0) as service:
+            busy = service.submit_search("q0", k=3)
+            assert workers.taken.acquire(timeout=60)
+            held = [service.submit_search(f"q{index}", k=3) for index in range(1, 4)]
+            workers.processes[0].terminate()
+            # No respawn budget: the orphan and everything held behind
+            # the dead worker fail promptly instead of waiting forever.
+            for future in [busy, *held]:
+                with pytest.raises(WorkerCrashed):
+                    future.result(timeout=60)
+        assert [len(payloads) for payloads in workers.tasks] == [1]
+
+    def test_close_is_bounded_when_capacity_never_frees(self):
+        workers = _GatedWorkers()  # the gate never opens
+        service = self._serve(workers, drain_timeout_s=0.2)
+        busy = service.submit_search("q0", k=3)
+        assert workers.taken.acquire(timeout=60)
+        held = [service.submit_search(f"q{index}", k=3) for index in range(1, 4)]
+        closer = threading.Thread(target=service.close)
+        closer.start()
+        closer.join(timeout=60)
+        assert not closer.is_alive()
+        for future in [busy, *held]:
+            with pytest.raises(ServiceClosed):
+                future.result(timeout=0)
+        assert service.metrics()["queue"]["depth"] == 0
+
+    def test_concurrent_submitters_never_strand_a_request(self):
+        # More workers and submitter threads than cores, and a short
+        # switch interval: a lost capacity wake-up would hang a future.
+        workers = _GatedWorkers()
+        workers.gate.set()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with self._serve(workers, workers=4, max_batch=8) as service:
+                with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+                    answers = list(
+                        pool.map(
+                            lambda index: service.search(f"q{index}", k=3, timeout=60),
+                            range(400),
+                        )
+                    )
+                snapshot = service.metrics()
+        finally:
+            sys.setswitchinterval(interval)
+        assert answers == [f"answer:q{index}" for index in range(400)]
+        assert sorted(p for payloads in workers.tasks for p in payloads) == sorted(
+            f"q{index}" for index in range(400)
+        )
+        assert snapshot["endpoints"]["search"]["completed"] == 400
+        assert snapshot["queue"]["depth"] == 0
 
 
 class TestServiceMetricsSnapshot:
@@ -342,6 +543,7 @@ class TestDispatchQueueGuard:
 
         pool = WorkerPool.__new__(WorkerPool)
         pool._lock = threading.Lock()
+        pool._capacity = threading.Condition(pool._lock)
         pool._batches = {}
         pool._next_batch_id = 0
         pool.resolved = []
